@@ -400,6 +400,7 @@ class SlidingWindowSystem(Sampler):
     def observe_columns(self, batch: EventBatch) -> int:
         """Columnar fast path: cached hash column + vectorized dedup."""
         batch.require_sites()
+        batch.hash_column(self.hasher)  # hashed once; the runs slice it
         for slot, run in batch.slot_runs():
             if slot is not None:
                 self.advance(slot)

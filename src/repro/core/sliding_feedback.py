@@ -37,6 +37,7 @@ coordinator knows ``g`` with a current expiry.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any, Optional
 
 from ..errors import ConfigurationError, ProtocolError
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_EXPIRY = attrgetter("expiry")
 
 
 class FeedbackBottomSSite:
@@ -178,13 +180,13 @@ class FeedbackBottomSCoordinator:
 
     def _threshold(self, now: int) -> tuple[float, float]:
         """Current ``(u, valid_until)`` over live candidates."""
-        self.candidates.expire(now)
-        bottom = self.candidates.bottom(self.sample_size)
+        return self.threshold_of(self.sample_entries(now))
+
+    def threshold_of(self, bottom: list[DominanceEntry]) -> tuple[float, float]:
+        """``(u, valid_until)`` of a live bottom-s from :meth:`sample_entries`."""
         if len(bottom) < self.sample_size:
             return 1.0, _INF
-        u = bottom[-1].hash
-        valid_until = min(entry.expiry for entry in bottom)
-        return u, valid_until
+        return bottom[-1].hash, min(map(_EXPIRY, bottom))
 
     def handle_message(self, message: Message, network: Network) -> None:
         """Merge a report; reply with the fresh (u, t_u)."""
@@ -287,6 +289,7 @@ class SlidingWindowBottomSFeedback(Sampler):
     def observe_columns(self, batch: EventBatch) -> int:
         """Columnar fast path: cached hash column, no dedup (see above)."""
         batch.require_sites()
+        batch.hash_column(self.hasher)  # hashed once; the runs slice it
         for slot, run in batch.slot_runs():
             if slot is not None:
                 self.advance(slot)
@@ -318,9 +321,9 @@ class SlidingWindowBottomSFeedback(Sampler):
 
     def sample(self) -> SampleResult:
         """The current window's bottom-s distinct sample."""
-        now = self.clock.now
-        entries = self.coordinator.sample_entries(now)
-        threshold, _valid_until = self.coordinator._threshold(now)
+        coordinator = self.coordinator
+        entries = coordinator.sample_entries(self.clock.now)
+        threshold, _valid_until = coordinator.threshold_of(entries)
         return SampleResult(
             items=tuple(entry.element for entry in entries),
             pairs=tuple((entry.hash, entry.element) for entry in entries),

@@ -118,9 +118,16 @@ class LocalPushSite:
 
     def tick(self, now: int, network: Network) -> None:
         """Slot-boundary maintenance: expire, then re-sync the bottom-s."""
+        if self._reported:
+            self.candidates.expire(now)
+            self._sync_bottom(now, network)
+            return
+        # Nothing reported (an empty set, or a freshly resharded site):
+        # re-sync only if expiry changed the pruned set.  len() settles
+        # the candidates' deferred prune, so the branch above avoids it.
         before = len(self.candidates)
         self.candidates.expire(now)
-        if len(self.candidates) != before or self._reported:
+        if len(self.candidates) != before:
             self._sync_bottom(now, network)
 
     def observe(self, element: Any, now: int, network: Network) -> None:
@@ -255,6 +262,7 @@ class SlidingWindowBottomS(Sampler):
     def observe_columns(self, batch: EventBatch) -> int:
         """Columnar fast path: cached hash column + vectorized dedup."""
         batch.require_sites()
+        batch.hash_column(self.hasher)  # hashed once; the runs slice it
         for slot, run in batch.slot_runs():
             if slot is not None:
                 self.advance(slot)

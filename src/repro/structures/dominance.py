@@ -14,19 +14,41 @@ hash; the survivors always contain the ``s`` smallest-hash live elements.
 
 Two interchangeable implementations (differentially tested):
 
-* :class:`SortedDominanceSet` — a list sorted by ``(expiry, hash)`` plus an
-  element index; pruning is an O(n log s) right-to-left sweep.  Supports any
-  ``s >= 1``.
+* :class:`SortedDominanceSet` — a list sorted by ``(expiry, hash)`` plus a
+  hash-ordered index and an element index.  Supports any ``s >= 1``.
+  Pruning is an O(n log s) right-to-left sweep that runs *lazily*: when
+  the list has grown past :data:`_GROWTH` times its size after the last
+  prune (or ``s``, if larger), or when a read that reports the pruned set
+  needs it.  Amortized over the arrivals that grew the list, a sweep
+  costs O(log s) per arrival, and the list never holds more than
+  ``_GROWTH * max(pruned size, s)`` entries.
 * :class:`TreapDominanceSet` — the paper's treap (s = 1 only): key
   ``(expiry, hash)``, priority ``hash``; min-hash is the root, expiry is an
   O(log n) split, and dominance pruning exploits the *staircase invariant*
   (surviving hashes increase with expiry), removing only a contiguous run
   of predecessors.
+
+Read contract.  Pruning late is unobservable because an s-dominated entry
+has at least ``s`` entries with later expiry and smaller hash: those
+outlive it, so it can never rank among the ``s`` smallest live hashes, and
+once dominated it stays dominated (its dominators expire after it, and a
+refresh only extends a dominator's life).  The survivor set is therefore
+closed under insert, refresh and expire, and the same whether pruning
+runs after every arrival or later.  Hence:
+
+* ``min_entry()``, ``bottom(count)`` for ``0 <= count <= s`` and
+  ``expire(now)`` are answered exactly without pruning — a pending
+  dominated entry never reaches the first ``s`` places of the hash
+  order, and expiry removes a prefix of the expiry order either way;
+* ``__len__``, ``__contains__``, ``entries()``, ``bottom(count)`` for
+  other counts and ``check_invariants()`` prune first, so they report
+  the pruned set exactly as an eager implementation would.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from typing import Any, Optional, Protocol
 
 from .treap import Treap
@@ -38,6 +60,10 @@ __all__ = [
     "TreapDominanceSet",
     "brute_force_survivors",
 ]
+
+#: A :class:`SortedDominanceSet` prunes once its list holds more than this
+#: many times ``max(size after the last prune, s)`` entries.
+_GROWTH = 2
 
 
 class DominanceEntry:
@@ -62,30 +88,44 @@ class DominanceEntry:
 
 
 class DominanceSet(Protocol):
-    """Protocol implemented by both dominance-set variants."""
+    """Protocol implemented by both dominance-set variants.
+
+    Implementations may defer pruning (see the module docstring's read
+    contract): ``min_entry``, ``bottom(count <= s)`` and ``expire`` must be
+    exact over the pruned set without forcing a prune, and ``__len__``,
+    ``__contains__`` and ``entries`` must report the pruned set.
+    """
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
-        """Insert ``element`` or refresh its expiry to ``expiry``, then prune."""
+        """Insert ``element`` or refresh its expiry to ``expiry``; the
+        entries it s-dominates (or that s-dominate it) leave the pruned
+        set, possibly later."""
         ...
 
     def expire(self, now: int) -> None:
-        """Drop every entry with ``expiry <= now``."""
+        """Drop every entry with ``expiry <= now`` (never prunes)."""
         ...
 
     def min_entry(self) -> Optional[DominanceEntry]:
-        """Entry with the smallest hash, or None if empty."""
+        """Entry with the smallest hash, or None if empty (never prunes)."""
         ...
 
     def bottom(self, count: int) -> list[DominanceEntry]:
-        """The ``count`` smallest-hash entries, ascending by hash."""
+        """The ``count`` smallest-hash entries, ascending by hash (ties by
+        expiry); prunes first only when ``count`` is not in ``[0, s]``."""
         ...
 
-    def __len__(self) -> int: ...
+    def __len__(self) -> int:
+        """Size of the pruned set (prunes first)."""
+        ...
 
-    def __contains__(self, element: Any) -> bool: ...
+    def __contains__(self, element: Any) -> bool:
+        """Membership in the pruned set (prunes first)."""
+        ...
 
     def entries(self) -> list[DominanceEntry]:
-        """All entries, ordered by ``(expiry, hash)``."""
+        """All pruned-set entries, ordered by ``(expiry, hash)`` (prunes
+        first)."""
         ...
 
 
@@ -115,7 +155,15 @@ def brute_force_survivors(
 
 
 class SortedDominanceSet:
-    """s-dominance set backed by a sorted list.
+    """s-dominance set in two orders, pruned lazily.
+
+    Entries live in a list sorted by ``(expiry, hash)`` (expired from the
+    left) and in a parallel hash-ordered index (``_hashes``/``_by_hash``,
+    kept with :mod:`bisect`), so the minimum and the bottom-``s`` are
+    slices rather than sorts.  Arrivals are not pruned one by one: the
+    s-dominance sweep runs when the list has grown past
+    :data:`_GROWTH` times ``max(size after the last prune, s)``, or when a
+    read that reports the pruned set needs it (see the module docstring).
 
     Args:
         s: Dominance order (sample size the survivors must be able to
@@ -125,7 +173,15 @@ class SortedDominanceSet:
         ValueError: If ``s < 1``.
     """
 
-    __slots__ = ("_s", "_entries", "_index")
+    __slots__ = (
+        "_s",
+        "_entries",
+        "_index",
+        "_hashes",
+        "_by_hash",
+        "_limit",
+        "_dirty",
+    )
 
     def __init__(self, s: int = 1) -> None:
         if s < 1:
@@ -133,6 +189,12 @@ class SortedDominanceSet:
         self._s = s
         self._entries: list[DominanceEntry] = []  # sorted by (expiry, hash)
         self._index: dict[Any, DominanceEntry] = {}
+        # Hash order: ties by expiry, then by position in _entries, which
+        # is the order a stable sort of _entries by hash gives.
+        self._hashes: list[float] = []
+        self._by_hash: list[DominanceEntry] = []
+        self._limit = _GROWTH * s  # length that triggers the next prune
+        self._dirty = False  # True iff an insert happened since the prune
 
     @property
     def s(self) -> int:
@@ -140,12 +202,15 @@ class SortedDominanceSet:
         return self._s
 
     def __len__(self) -> int:
+        self._settle()
         return len(self._entries)
 
     def __contains__(self, element: Any) -> bool:
+        self._settle()
         return element in self._index
 
     def entries(self) -> list[DominanceEntry]:
+        self._settle()
         return list(self._entries)
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
@@ -154,18 +219,24 @@ class SortedDominanceSet:
             if expiry <= old.expiry:
                 return  # refresh can only extend life
             self._entries.remove(old)
+            self._unindex_hash(old)
         entry = DominanceEntry(element, expiry, hash_value)
         self._index[element] = entry
-        self._insert_sorted(entry)
-        self._prune()
+        self._insert(entry)
+        self._dirty = True
+        if len(self._entries) > self._limit:
+            self._prune()
 
-    def _insert_sorted(self, entry: DominanceEntry) -> None:
+    def _insert(self, entry: DominanceEntry) -> None:
         # Most arrivals carry the largest expiry so far; test the tail first
         # to keep the common case O(1) before falling back to binary search.
+        # An appended entry follows its (expiry, hash) equals, a bisected
+        # one precedes them; the hash index mirrors that tie order.
         entries = self._entries
         key = (entry.expiry, entry.hash)
         if not entries or (entries[-1].expiry, entries[-1].hash) <= key:
             entries.append(entry)
+            self._index_hash(entry, after_equals=True)
             return
         lo, hi = 0, len(entries)
         while lo < hi:
@@ -175,6 +246,37 @@ class SortedDominanceSet:
             else:
                 hi = mid
         entries.insert(lo, entry)
+        self._index_hash(entry, after_equals=False)
+
+    def _index_hash(self, entry: DominanceEntry, after_equals: bool) -> None:
+        hashes = self._hashes
+        h = entry.hash
+        i = bisect_left(hashes, h)
+        if i < len(hashes) and hashes[i] == h:  # hash tie: order by expiry
+            by_hash = self._by_hash
+            end = bisect_right(hashes, h, i)
+            expiry = entry.expiry
+            if after_equals:
+                while i < end and by_hash[i].expiry <= expiry:
+                    i += 1
+            else:
+                while i < end and by_hash[i].expiry < expiry:
+                    i += 1
+        hashes.insert(i, h)
+        self._by_hash.insert(i, entry)
+
+    def _unindex_hash(self, entry: DominanceEntry) -> None:
+        by_hash = self._by_hash
+        i = bisect_left(self._hashes, entry.hash)
+        while by_hash[i] is not entry:
+            i += 1
+        del self._hashes[i]
+        del by_hash[i]
+
+    def _settle(self) -> None:
+        """Prune if an insert happened since the last prune."""
+        if self._dirty:
+            self._prune()
 
     def _prune(self) -> None:
         """Right-to-left sweep dropping s-dominated entries.
@@ -182,63 +284,78 @@ class SortedDominanceSet:
         Maintains a max-heap of the ``s`` smallest hashes among entries with
         *strictly later* expiry; entries in the same expiry slot are judged
         as a group before joining the heap (equal expiry never dominates).
+        The hash index is then filtered to the survivors, keeping its order.
         """
         entries = self._entries
-        if len(entries) <= self._s:
-            return
         s = self._s
-        worst: list[float] = []  # negated hashes: max-heap of s smallest
-        kept_rev: list[DominanceEntry] = []
-        removed = False
-        i = len(entries) - 1
-        while i >= 0:
-            # Identify the group of equal expiry ending at i.
-            j = i
-            expiry = entries[i].expiry
-            while j >= 0 and entries[j].expiry == expiry:
-                j -= 1
-            group = entries[j + 1 : i + 1]
-            threshold = -worst[0] if len(worst) == s else None
-            for entry in reversed(group):
-                if threshold is not None and entry.hash > threshold:
-                    del self._index[entry.element]
-                    removed = True
-                else:
-                    kept_rev.append(entry)
-            # Survivors of this group now count as "later" for earlier slots.
-            for entry in group:
-                if self._index.get(entry.element) is entry:
-                    if len(worst) < s:
-                        heapq.heappush(worst, -entry.hash)
-                    elif entry.hash < -worst[0]:
-                        heapq.heapreplace(worst, -entry.hash)
-            i = j
-        if removed:
-            kept_rev.reverse()
-            self._entries = kept_rev
+        self._dirty = False
+        if len(entries) > s:
+            index = self._index
+            worst: list[float] = []  # negated hashes: max-heap of s smallest
+            kept_rev: list[DominanceEntry] = []
+            i = len(entries) - 1
+            while i >= 0:
+                # Identify the group of equal expiry ending at i.
+                j = i
+                expiry = entries[i].expiry
+                while j >= 0 and entries[j].expiry == expiry:
+                    j -= 1
+                group = entries[j + 1 : i + 1]
+                threshold = -worst[0] if len(worst) == s else None
+                for entry in reversed(group):
+                    if threshold is not None and entry.hash > threshold:
+                        del index[entry.element]
+                    else:
+                        kept_rev.append(entry)
+                # Survivors of this group now count as "later" for earlier
+                # slots.
+                for entry in group:
+                    if index.get(entry.element) is entry:
+                        if len(worst) < s:
+                            heapq.heappush(worst, -entry.hash)
+                        elif entry.hash < -worst[0]:
+                            heapq.heapreplace(worst, -entry.hash)
+                i = j
+            if len(kept_rev) < len(entries):
+                kept_rev.reverse()
+                self._entries = kept_rev
+                self._by_hash = [
+                    e for e in self._by_hash if index.get(e.element) is e
+                ]
+                self._hashes = [e.hash for e in self._by_hash]
+        self._limit = _GROWTH * max(len(self._entries), s)
 
     def expire(self, now: int) -> None:
         entries = self._entries
         cut = 0
         while cut < len(entries) and entries[cut].expiry <= now:
-            del self._index[entries[cut].element]
+            entry = entries[cut]
+            del self._index[entry.element]
+            self._unindex_hash(entry)
             cut += 1
         if cut:
             del entries[:cut]
 
     def min_entry(self) -> Optional[DominanceEntry]:
-        if not self._entries:
-            return None
-        return min(self._entries, key=lambda e: e.hash)
+        by_hash = self._by_hash
+        return by_hash[0] if by_hash else None
 
     def bottom(self, count: int) -> list[DominanceEntry]:
-        return sorted(self._entries, key=lambda e: e.hash)[:count]
+        if not 0 <= count <= self._s:
+            self._settle()
+        return self._by_hash[:count]
 
     def check_invariants(self) -> None:
-        """Assert sortedness, index consistency, and s-dominance minimality."""
+        """Assert both orders, index consistency, and s-dominance
+        minimality (after settling any pending prune)."""
+        self._settle()
         assert len(self._entries) == len(self._index)
         for a, b in zip(self._entries, self._entries[1:]):
             assert (a.expiry, a.hash) <= (b.expiry, b.hash), "sort order broken"
+        assert self._by_hash == sorted(self._entries, key=lambda e: e.hash), (
+            "hash index out of order"
+        )
+        assert self._hashes == [e.hash for e in self._by_hash]
         raw = [(e.element, e.expiry, e.hash) for e in self._entries]
         expected = brute_force_survivors(raw, self._s)
         assert raw == expected, "set contains a dominated entry"

@@ -2,10 +2,14 @@
 
 Both implementations are checked against the brute-force s-dominance
 filter after arbitrary interleavings of observe/expire operations, and
-against each other (s = 1).
+against each other (s = 1).  ``SortedDominanceSet`` prunes lazily, so it
+is also checked against a twin that forces the prune after every
+operation: no read may tell the two apart.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.structures.dominance import (
+    _GROWTH,
     SortedDominanceSet,
     TreapDominanceSet,
     brute_force_survivors,
@@ -219,3 +224,120 @@ class TestExpectedSize:
         mean_size = sum(sizes) / len(sizes)
         # H_500 ≈ 6.79; allow generous slack.
         assert 3.0 <= mean_size <= 12.0, mean_size
+
+
+def _tuples(entries):
+    return [e.as_tuple() for e in entries]
+
+
+def _tie_hash(element):
+    # Nine hash classes over elements 0..17: e and e + 9 share a hash.
+    return (((element % 9) * 0x9E3779B1) % 2**32) / 2**32
+
+
+_COORDINATOR_OPS = st.lists(
+    st.one_of(
+        # Report (element, expiry = now + delta): expiries arrive out of
+        # order, as fallback pushes and fresh arrivals interleave.
+        st.tuples(st.just("observe"), st.integers(0, 17), st.integers(1, 40)),
+        st.tuples(st.just("expire"), st.integers(0, 3), st.just(0)),
+    ),
+    max_size=80,
+)
+
+
+class TestLazyPruneUnobservable:
+    """Deferred pruning must not change any read (see the read contract)."""
+
+    @given(st.sampled_from([1, 2, 4]), _COORDINATOR_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_reading_twin_agrees_with_lazy_twin(self, s, ops):
+        reading = SortedDominanceSet(s)  # len() after every operation
+        lazy = SortedDominanceSet(s)  # never asked for the pruned set
+        live: dict[int, int] = {}  # element -> max live expiry
+        now = 0
+        for op, a, b in ops:
+            if op == "observe":
+                element, expiry = a, now + b
+                for ds in (reading, lazy):
+                    ds.observe(element, expiry, _tie_hash(element))
+                live[element] = max(live.get(element, expiry), expiry)
+            else:
+                now += a
+                for ds in (reading, lazy):
+                    ds.expire(now)
+                live = {e: exp for e, exp in live.items() if exp > now}
+            len(reading)
+
+            assert _tuples(lazy.bottom(s)) == _tuples(reading.bottom(s))
+            want_min = reading.min_entry()
+            got_min = lazy.min_entry()
+            assert (got_min is None) == (want_min is None)
+            if want_min is not None:
+                assert got_min.as_tuple() == want_min.as_tuple()
+
+            # Pruning reads go to a copy so the lazy twin stays unpruned.
+            settled = copy.deepcopy(lazy)
+            assert _tuples(settled.entries()) == _tuples(reading.entries())
+            # Hash ties come out in stable-sort order over (expiry, hash).
+            stable = sorted(settled.entries(), key=lambda e: e.hash)
+            assert _tuples(lazy.bottom(s)) == _tuples(stable[:s])
+            assert _tuples(settled.bottom(s + 3)) == _tuples(
+                reading.bottom(s + 3)
+            )
+            expected = brute_force_survivors(
+                [(e, exp, _tie_hash(e)) for e, exp in live.items()], s
+            )
+            assert sorted(_tuples(reading.entries())) == sorted(expected)
+            settled.check_invariants()
+            reading.check_invariants()
+
+    def test_hash_ties_follow_stable_sort_over_expiry_order(self):
+        ds = SortedDominanceSet(1)
+        ds.observe("a", 10, 0.5)
+        ds.observe("b", 10, 0.5)  # appended after its equal key
+        ds.observe("z", 20, 0.9)
+        ds.observe("c", 10, 0.5)  # bisected in front of its equal keys
+        ds.observe("d", 5, 0.5)
+        # Equal hashes never dominate each other, so all five survive.
+        assert [e.element for e in ds.bottom(1)] == ["d"]
+        assert ds.min_entry().element == "d"
+        assert [e.element for e in ds.bottom(5)] == ["d", "c", "a", "b", "z"]
+        stable = sorted(ds.entries(), key=lambda e: e.hash)
+        assert ds.bottom(5) == stable
+        ds.expire(5)
+        assert [e.element for e in ds.bottom(3)] == ["c", "a", "b"]
+
+    def test_bottom_beyond_s_excludes_dominated(self):
+        ds = SortedDominanceSet(1)
+        ds.observe("a", 10, 0.5)
+        ds.observe("b", 12, 0.2)  # dominates a; no prune has run yet
+        assert [e.element for e in ds.bottom(1)] == ["b"]
+        assert [e.element for e in ds.bottom(2)] == ["b"]
+        assert [e.element for e in ds.bottom(10)] == ["b"]
+
+        ds = SortedDominanceSet(2)
+        ds.observe("a", 5, 0.9)
+        ds.observe("b", 10, 0.1)
+        ds.observe("c", 11, 0.2)  # a now has two dominators
+        ds.observe("d", 12, 0.95)
+        assert [e.element for e in ds.bottom(2)] == ["b", "c"]
+        assert [e.element for e in ds.bottom(4)] == ["b", "c", "d"]
+
+    def test_unread_length_stays_within_growth_bound(self):
+        rng = np.random.default_rng(11)
+        for s in (1, 4, 16):
+            lazy = SortedDominanceSet(s)
+            eager = SortedDominanceSet(s)
+            peak = 0
+            for t in range(1, 4000):
+                element = int(rng.integers(0, 100_000))
+                h = float(rng.random())
+                for ds in (lazy, eager):
+                    ds.expire(t)
+                    ds.observe(element, t + 500, h)
+                peak = max(peak, len(eager))
+                # Without reads, only the growth trigger prunes.
+                assert len(lazy._entries) <= _GROWTH * max(peak, s)
+            # A window of 500 arrivals, yet O(s log M) entries held.
+            assert peak < 500 // _GROWTH
