@@ -19,7 +19,14 @@ Protocol:
 * **Site, slot boundary:** if ``t_i <= now`` (threshold validity
   expired), push its **entire local bottom-s** (up to ``s`` reports —
   each a constant-size message, counted individually) and adopt the last
-  reply.
+  reply.  On the synchronous network the push is delivered as one run
+  (:meth:`~repro.netsim.network.Network.send_run`): the coordinator
+  merges all of it, computes one ``(u, t_u)`` and answers with a run of
+  as many identical replies.  Nothing runs between the round trips of a
+  push, so this ends in the same state, with the same messages counted,
+  as answering each report separately — only the intermediate replies,
+  which the site overwrites unseen, are skipped.  Delayed networks still
+  carry the push report by report.
 
 Correctness (checked against a brute-force oracle every slot): suppose
 ``g`` is in the true global bottom-s at slot ``t`` and lives at site
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher, unit_hash_batch
@@ -123,14 +130,14 @@ class FeedbackBottomSSite:
         # rule.
         self.u_local = 1.0
         self.valid_until = _INF
-        for entry in bottom:
-            self.reports_sent += 1
-            network.send(
-                self.site_id,
-                COORDINATOR,
-                MessageKind.SW_REPORT,
-                (entry.element, entry.hash, entry.expiry, self.site_id),
-            )
+        site_id = self.site_id
+        self.reports_sent += len(bottom)
+        network.send_run(
+            site_id,
+            COORDINATOR,
+            MessageKind.SW_REPORT,
+            [(e.element, e.hash, e.expiry, site_id) for e in bottom],
+        )
 
     def observe(self, element: Any, now: int, network: Network) -> None:
         """Process an arrival in slot ``now``."""
@@ -161,6 +168,20 @@ class FeedbackBottomSSite:
         u, valid_until = message.payload
         self.u_local = u
         self.valid_until = valid_until
+
+    def handle_run(
+        self,
+        src: int,
+        kind: MessageKind,
+        payloads: Sequence[Any],
+        network: Network,
+    ) -> None:
+        """Adopt the last reply of a run (it overwrites the others)."""
+        if kind is not MessageKind.SW_SAMPLE:
+            raise ProtocolError(
+                f"feedback site {self.site_id} cannot handle {kind!r}"
+            )
+        self.u_local, self.valid_until = payloads[-1]
 
 
 class FeedbackBottomSCoordinator:
@@ -199,6 +220,29 @@ class FeedbackBottomSCoordinator:
         u, valid_until = self._threshold(now)
         network.send(
             COORDINATOR, site_id, MessageKind.SW_SAMPLE, (u, valid_until)
+        )
+
+    def handle_run(
+        self,
+        src: int,
+        kind: MessageKind,
+        payloads: Sequence[Any],
+        network: Network,
+    ) -> None:
+        """Merge a pushed bottom-s; answer with one (u, t_u) per report.
+
+        The site overwrites every reply but the last unseen, so the
+        threshold is computed once, after the whole merge.
+        """
+        if kind is not MessageKind.SW_REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        self.reports_received += len(payloads)
+        observe = self.candidates.observe
+        for element, h, expiry, site_id in payloads:
+            observe(element, expiry, h)
+        reply = self._threshold(self.clock.now)
+        network.send_run(
+            COORDINATOR, site_id, MessageKind.SW_SAMPLE, [reply] * len(payloads)
         )
 
     def query(self, now: int) -> list[Any]:

@@ -27,13 +27,12 @@ reply older than a window is useless).  Both are demonstrated in tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ProtocolError
 from .message import COORDINATOR, Message, MessageKind
-from .network import MessageStats, Network
+from .network import Network
 
 
 __all__ = ["DelayedNetwork"]
@@ -88,20 +87,28 @@ class DelayedNetwork(Network):
         As in :class:`Network`, the counters move only after ``dst``
         validates, and the per-kind counter honors ``record_kinds``.
         """
-        if dst not in self._nodes:
-            raise ProtocolError(f"no node registered at address {dst}")
-        stats = self.stats
-        stats.total_messages += 1
-        stats.total_bytes += size_bytes
-        if dst == COORDINATOR:
-            stats.site_to_coordinator += 1
-        elif src == COORDINATOR:
-            stats.coordinator_to_site += 1
-        if self._record_kinds:
-            stats.by_kind[kind] += 1
+        self._count(src, dst, kind, 1, size_bytes)
         self._queues.setdefault((src, dst), deque()).append(
             Message(src, dst, kind, payload, size_bytes)
         )
+
+    def send_run(
+        self,
+        src: int,
+        dst: int,
+        kind: MessageKind,
+        payloads: Sequence[Any],
+        size_bytes: int = 16,
+    ) -> None:
+        """Enqueue a run message by message through :meth:`send`.
+
+        A delayed link gives no guarantee that nothing happens between
+        the messages of a run, so each one is counted, queued and later
+        pumped to ``handle_message`` on its own; subclass faults (drop,
+        duplication, reordering) act per message too.
+        """
+        for payload in payloads:
+            self.send(src, dst, kind, payload, size_bytes)
 
     # -- delivery -----------------------------------------------------------
 

@@ -11,13 +11,25 @@ Reentrancy is expected and safe: a coordinator handling a site's REPORT
 sends a THRESHOLD reply from inside its handler.  Protocol nesting in this
 package is bounded (request -> reply), so plain recursion suffices; a depth
 guard catches accidental ping-pong loops in user extensions.
+
+A *run* is a sequence of same-kind messages from one sender to one
+receiver, sent with :meth:`Network.send_run` (for example a lapsed
+sliding-window site pushing its whole local bottom-s).  Each message of a
+run is counted exactly as a separate :meth:`Network.send` would count it,
+so the paper's cost model (one unit per constant-size message) is
+unchanged.  Because delivery is immediate, nothing can happen between the
+messages of a run, so the receiver may process the run in one
+``handle_run`` call instead of one handler call per message; a receiver
+without that hook gets the messages one by one.  Networks that delay
+messages deliver a run message by message (see
+:class:`~repro.netsim.delayed.DelayedNetwork`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Sequence
 
 from ..errors import ProtocolError
 from .message import COORDINATOR, Message, MessageKind
@@ -111,6 +123,35 @@ class Network:
 
     # -- messaging ------------------------------------------------------------
 
+    def _count(
+        self, src: int, dst: int, kind: MessageKind, n: int, size_bytes: int
+    ) -> Node:
+        """Validate ``dst``, then count ``n`` messages on the src->dst link.
+
+        A message is counted only once ``dst`` validates: a rejected send
+        never happened on the wire, so it must not skew the paper's
+        message-cost metric.
+
+        Returns:
+            The node registered at ``dst``.
+
+        Raises:
+            ProtocolError: If ``dst`` is unregistered.
+        """
+        node = self._nodes.get(dst)
+        if node is None:
+            raise ProtocolError(f"no node registered at address {dst}")
+        stats = self.stats
+        stats.total_messages += n
+        stats.total_bytes += n * size_bytes
+        if dst == COORDINATOR:
+            stats.site_to_coordinator += n
+        elif src == COORDINATOR:
+            stats.coordinator_to_site += n
+        if self._record_kinds:
+            stats.by_kind[kind] += n
+        return node
+
     def send(
         self,
         src: int,
@@ -121,27 +162,13 @@ class Network:
     ) -> None:
         """Send and synchronously deliver one message.
 
-        A message is counted only once ``dst`` validates: a rejected send
-        never happened on the wire, so it must not skew the paper's
-        message-cost metric.
+        The message is counted only once ``dst`` validates.
 
         Raises:
             ProtocolError: If ``dst`` is unregistered or dispatch nests
                 deeper than the protocol bound (a ping-pong loop).
         """
-        node = self._nodes.get(dst)
-        if node is None:
-            raise ProtocolError(f"no node registered at address {dst}")
-        stats = self.stats
-        stats.total_messages += 1
-        stats.total_bytes += size_bytes
-        if dst == COORDINATOR:
-            stats.site_to_coordinator += 1
-        elif src == COORDINATOR:
-            stats.coordinator_to_site += 1
-        if self._record_kinds:
-            stats.by_kind[kind] += 1
-
+        node = self._count(src, dst, kind, 1, size_bytes)
         if self._depth >= _MAX_DISPATCH_DEPTH:
             raise ProtocolError(
                 "message dispatch nested deeper than the protocol allows; "
@@ -150,6 +177,50 @@ class Network:
         self._depth += 1
         try:
             node.handle_message(Message(src, dst, kind, payload, size_bytes), self)
+        finally:
+            self._depth -= 1
+
+    def send_run(
+        self,
+        src: int,
+        dst: int,
+        kind: MessageKind,
+        payloads: Sequence[Any],
+        size_bytes: int = 16,
+    ) -> None:
+        """Send and synchronously deliver a run of same-kind messages.
+
+        Counts ``len(payloads)`` messages exactly as that many
+        :meth:`send` calls would (total, bytes, direction and per-kind),
+        all up front once ``dst`` validates.  The whole run then goes to
+        the destination's ``handle_run(src, kind, payloads, network)``
+        hook in one call; a node without that hook receives the run as
+        one :class:`Message` per payload, in order, through
+        ``handle_message``.  An empty run sends nothing.
+
+        Raises:
+            ProtocolError: If ``dst`` is unregistered or dispatch nests
+                deeper than the protocol bound (a ping-pong loop).
+        """
+        if not payloads:
+            self.node_at(dst)  # still validate: a run to nowhere is a bug
+            return
+        node = self._count(src, dst, kind, len(payloads), size_bytes)
+        if self._depth >= _MAX_DISPATCH_DEPTH:
+            raise ProtocolError(
+                "message dispatch nested deeper than the protocol allows; "
+                "likely an unbounded reply loop"
+            )
+        self._depth += 1
+        try:
+            handle_run = getattr(node, "handle_run", None)
+            if handle_run is not None:
+                handle_run(src, kind, payloads, self)
+            else:
+                for payload in payloads:
+                    node.handle_message(
+                        Message(src, dst, kind, payload, size_bytes), self
+                    )
         finally:
             self._depth -= 1
 

@@ -3,6 +3,20 @@
 A node is anything addressable on the :class:`~repro.netsim.network.Network`
 that can receive messages.  Sites additionally observe stream elements;
 slotted (sliding-window) sites are driven by slot-boundary ticks.
+
+A node may also define the optional hook::
+
+    def handle_run(self, src: int, kind: MessageKind,
+                   payloads: Sequence[Any], network: Network) -> None: ...
+
+The synchronous network calls it once for a whole run sent with
+:meth:`~repro.netsim.network.Network.send_run` (same-kind messages from
+``src``, already counted one by one).  It must end in the state that
+``len(payloads)`` in-order ``handle_message`` calls would reach, and send
+the same messages, though it may skip intermediate states nobody can
+observe (e.g. compute one reply and send it as a run of ``len(payloads)``
+replies).  Nodes without the hook get the run message by message; delayed
+networks always deliver per message.
 """
 
 from __future__ import annotations

@@ -72,6 +72,40 @@ class TestDropDuplicateReorder:
         assert net.pump() == 2
         assert node.payloads == [0.5, 0.5]
 
+    def test_drop_acts_per_message_of_a_run(self):
+        net, node = linked_net(drop=0.5, seed=4)
+        net.send_run(COORDINATOR, 0, MessageKind.THRESHOLD, list(range(40)))
+        assert net.stats.total_messages == 40  # every message was sent
+        assert 0 < net.dropped_messages < 40  # some, not all, were eaten
+        assert net.pump() == 40 - net.dropped_messages
+        assert node.payloads == sorted(node.payloads)  # survivors in order
+        assert len(node.payloads) == 40 - net.dropped_messages
+
+    def test_duplicate_acts_per_message_of_a_run(self):
+        net, node = linked_net(duplicate=0.5, seed=4)
+        net.send_run(COORDINATOR, 0, MessageKind.THRESHOLD, list(range(40)))
+        assert net.stats.total_messages == 40
+        assert 0 < net.duplicated_messages < 40
+        assert net.pump() == 40 + net.duplicated_messages
+        assert sorted(set(node.payloads)) == list(range(40))
+        assert node.payloads == sorted(node.payloads)  # copies land behind
+
+    def test_run_matches_message_by_message_fault_schedule(self):
+        kwargs = dict(drop=0.3, duplicate=0.3, reorder=0.3, seed=11)
+        run_net, run_node = linked_net(**kwargs)
+        one_net, one_node = linked_net(**kwargs)
+        run_net.send_run(COORDINATOR, 0, MessageKind.THRESHOLD, list(range(30)))
+        for i in range(30):
+            one_net.send(COORDINATOR, 0, MessageKind.THRESHOLD, i)
+        run_net.pump()
+        one_net.pump()
+        assert run_node.payloads == one_node.payloads
+        assert run_net.stats == one_net.stats
+        assert (run_net.dropped_messages, run_net.duplicated_messages) == (
+            one_net.dropped_messages,
+            one_net.duplicated_messages,
+        )
+
     def test_reorder_perturbs_fifo_and_counts(self):
         net, node = linked_net(reorder=1.0, seed=3)
         for i in range(6):

@@ -163,6 +163,38 @@ class TestFaultInjection:
         assert silent.kind_count(MessageKind.THRESHOLD) == 0
         assert silent.stats.total_messages == 1
 
+    @pytest.mark.parametrize("record_kinds", [True, False])
+    def test_send_run_queues_each_message(self, record_kinds):
+        received = []
+
+        class RunSink:
+            def handle_message(self, message, network):
+                received.append(message)
+
+            def handle_run(self, src, kind, payloads, network):
+                raise AssertionError("a delayed network delivers per message")
+
+        net = DelayedNetwork(record_kinds=record_kinds)
+        twin = DelayedNetwork(record_kinds=record_kinds)
+        for n in (net, twin):
+            n.register(COORDINATOR, RunSink())
+        net.send_run(0, COORDINATOR, MessageKind.SW_REPORT, [1, 2, 3], 8)
+        for payload in (1, 2, 3):
+            twin.send(0, COORDINATOR, MessageKind.SW_REPORT, payload, 8)
+        assert net.stats == twin.stats
+        assert net.in_flight == 3
+        received.clear()
+        assert net.pump() == 3
+        assert [m.payload for m in received] == [1, 2, 3]
+        assert all(m.size_bytes == 8 for m in received)
+
+    def test_send_run_rejected_counts_nothing(self):
+        net = DelayedNetwork()
+        with pytest.raises(ProtocolError, match="no node registered"):
+            net.send_run(COORDINATOR, 99, MessageKind.REPORT, [1, 2])
+        assert net.stats.total_messages == 0
+        assert net.in_flight == 0
+
     def test_fifo_per_link(self):
         received = []
 

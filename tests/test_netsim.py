@@ -174,6 +174,102 @@ class TestAccounting:
         assert net.stats.total_messages == 2
 
 
+class RunRecorder(Recorder):
+    """Recorder that also takes whole runs through ``handle_run``."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs: list[tuple] = []
+
+    def handle_run(self, src, kind, payloads, network):
+        self.runs.append((src, kind, list(payloads)))
+
+
+class RunPingPonger(PingPonger):
+    """PingPonger that answers every run with a run (depth guard)."""
+
+    def handle_run(self, src, kind, payloads, network):
+        network.send_run(self.address, self.peer, kind, payloads)
+
+
+def sent_one_by_one(record_kinds, src, dst, kind, payloads, size_bytes):
+    net = Network(record_kinds=record_kinds)
+    net.register(dst, Recorder())
+    for payload in payloads:
+        net.send(src, dst, kind, payload, size_bytes)
+    return net.stats
+
+
+class TestSendRun:
+    @pytest.mark.parametrize("record_kinds", [True, False])
+    @pytest.mark.parametrize(
+        "src, dst, kind",
+        [
+            (0, COORDINATOR, MessageKind.SW_REPORT),
+            (COORDINATOR, 2, MessageKind.SW_SAMPLE),
+            (1, 2, MessageKind.REPORT),
+        ],
+    )
+    def test_counts_equal_n_sends(self, record_kinds, src, dst, kind):
+        payloads = [("e", 0.1 * i) for i in range(5)]
+        net = Network(record_kinds=record_kinds)
+        node = RunRecorder()
+        net.register(dst, node)
+        net.send_run(src, dst, kind, payloads, size_bytes=12)
+        assert net.stats == sent_one_by_one(
+            record_kinds, src, dst, kind, payloads, 12
+        )
+        assert net.stats.total_bytes == 60
+        assert node.runs == [(src, kind, payloads)]
+        assert node.received == []
+
+    def test_empty_run_is_a_noop(self):
+        net = Network()
+        node = RunRecorder()
+        net.register(0, node)
+        net.send_run(COORDINATOR, 0, MessageKind.SW_SAMPLE, [])
+        assert net.stats == Network().stats
+        assert dict(net.stats.by_kind) == {}
+        assert node.runs == [] and node.received == []
+
+    @pytest.mark.parametrize("payloads", [[], [1, 2]])
+    def test_unknown_destination_counts_nothing(self, payloads):
+        net = Network()
+        net.register(0, Recorder())
+        with pytest.raises(ProtocolError, match="no node registered"):
+            net.send_run(0, 99, MessageKind.REPORT, payloads)
+        assert net.stats == Network().stats
+
+    def test_node_without_handle_run_gets_messages_in_order(self):
+        net = Network()
+        node = Recorder()
+        net.register(0, node)
+        net.send_run(COORDINATOR, 0, MessageKind.THRESHOLD, [0.3, 0.2, 0.1], 8)
+        assert node.received == [
+            Message(COORDINATOR, 0, MessageKind.THRESHOLD, u, 8)
+            for u in (0.3, 0.2, 0.1)
+        ]
+        assert net.stats.total_messages == 3
+
+    def test_reentrant_run_reply(self):
+        net = Network()
+        site = RunRecorder()
+        net.register(0, site)
+        net.register(COORDINATOR, Echoer(COORDINATOR, reply_to=0))
+        net.send_run(0, COORDINATOR, MessageKind.REPORT, ["a", "b"])
+        assert len(site.received) == 2  # one echo per message of the run
+        assert net.stats.site_to_coordinator == 2
+        assert net.stats.coordinator_to_site == 2
+
+    def test_depth_guard(self):
+        net = Network()
+        net.register(0, RunPingPonger(0, 1))
+        net.register(1, RunPingPonger(1, 0))
+        with pytest.raises(ProtocolError, match="nested"):
+            net.send_run(0, 1, MessageKind.REPORT, [None, None])
+        assert net._depth == 0
+
+
 class TestClock:
     def test_advance(self):
         clock = SlotClock()

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import CentralizedWindowSampler
+from repro import CentralizedWindowSampler, make_sampler
+from repro.core.events import EventBatch
 from repro.core.sliding_feedback import SlidingWindowBottomSFeedback
 from repro.core.sliding_general import SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import COORDINATOR, Message, MessageKind, Network
 
 
 def random_schedule(rng, num_sites, universe, slots, max_per_slot=5):
@@ -126,6 +129,147 @@ class TestVsLocalPush:
         assert push.total_messages > 0
 
 
+class OneByOneNetwork(Network):
+    """Delivers a run as separate sends: the semantics before runs."""
+
+    __slots__ = ()
+
+    def send_run(self, src, dst, kind, payloads, size_bytes=16):
+        for payload in payloads:
+            self.send(src, dst, kind, payload, size_bytes)
+
+
+def rewire(system, network_cls):
+    """Move every coordinator group of ``system`` onto a fresh
+    ``network_cls`` transport (before any traffic)."""
+    for group in getattr(system, "groups", [system]):
+        net = network_cls()
+        net.register(COORDINATOR, group.coordinator)
+        for site in group.sites:
+            net.register(site.site_id, site)
+        group.network = net
+    return system
+
+
+def observable(system):
+    return (
+        system.stats(),
+        system.message_stats(),
+        system.state_dict(),
+        system.sample(),
+    )
+
+
+# Skewed keys (a few hot ones) refresh candidates; slot gaps up to 9
+# lapse many sites' thresholds in the same slot.
+_events = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.one_of(st.integers(0, 4), st.integers(0, 60)),
+        st.sampled_from([0, 0, 0, 1, 1, 2, 3, 9]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _batches(events_per_batch, num_sites):
+    slot, batches = 0, []
+    for events in events_per_batch:
+        batch = []
+        for site, key, gap in events:
+            slot += gap
+            batch.append((site % num_sites, key, slot))
+        batches.append(batch)
+    return batches
+
+
+def drive_twins(variant, num_sites, window, sample_size, batches, columnar,
+                **kwargs):
+    """Run ``variant`` on run delivery and on one-by-one delivery and
+    assert they agree after every batch."""
+    twins = [
+        rewire(
+            make_sampler(variant, num_sites=num_sites, window=window,
+                         sample_size=sample_size, seed=7, **kwargs),
+            network_cls,
+        )
+        for network_cls in (Network, OneByOneNetwork)
+    ]
+    for batch in batches:
+        for system in twins:
+            if columnar:
+                site_ids, items, slots = zip(*batch)
+                system.observe_batch(EventBatch(items, site_ids, slots))
+            else:
+                for site, item, slot in batch:
+                    system.observe(site, item, slot=slot)
+        runs, one_by_one = (observable(system) for system in twins)
+        assert runs == one_by_one
+    return twins
+
+
+class TestRunDelivery:
+    """A lapsed site's push delivered as one run ends exactly where the
+    message-by-message round trips end."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_sites=st.integers(1, 4),
+        sample_size=st.sampled_from([1, 2, 4, 8]),
+        window=st.sampled_from([1, 3, 8]),
+        columnar=st.booleans(),
+        events_per_batch=st.lists(_events, min_size=1, max_size=6),
+    )
+    def test_runs_match_one_by_one(
+        self, num_sites, sample_size, window, columnar, events_per_batch
+    ):
+        drive_twins(
+            "sliding-feedback", num_sites, window, sample_size,
+            _batches(events_per_batch, num_sites), columnar,
+        )
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_sharded_runs_match_one_by_one(self, columnar):
+        rng = np.random.default_rng(5)
+        slot, batches = 0, []
+        for _ in range(40):
+            batch = []
+            for _ in range(int(rng.integers(1, 12))):
+                slot += int(rng.choice([0, 0, 1, 2, 7]))
+                key = int(rng.zipf(1.5)) % 200
+                batch.append((int(rng.integers(0, 3)), key, slot))
+            batches.append(batch)
+        runs, _ = drive_twins(
+            "sharded:sliding-feedback", 3, 4, 4, batches, columnar, shards=2
+        )
+        fallbacks = sum(
+            site.fallbacks for group in runs.groups for site in group.sites
+        )
+        assert fallbacks > 0  # the runs were exercised
+
+    def test_lapse_pushes_bottom_s_and_adopts_final_threshold(self):
+        system = SlidingWindowBottomSFeedback(
+            num_sites=1, window=5, sample_size=3, seed=4
+        )
+        for element in range(6):
+            system.observe(0, element, slot=1)
+        for element in range(6, 12):
+            system.observe(0, element, slot=3)
+        site = system.sites[0]
+        assert site.valid_until == 6
+        before = system.message_stats().snapshot()
+        system.advance(6)  # the threshold lapsed: push the local bottom-3
+        after = system.message_stats()
+        assert site.fallbacks == 1
+        assert after.site_to_coordinator - before.site_to_coordinator == 3
+        assert after.coordinator_to_site - before.coordinator_to_site == 3
+        coordinator = system.coordinator
+        assert (site.u_local, site.valid_until) == coordinator.threshold_of(
+            coordinator.sample_entries(6)
+        )
+
+
 class TestErrors:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -149,6 +293,15 @@ class TestErrors:
                 Message(0, COORDINATOR, MessageKind.REPORT, None),
                 system.network,
             )
+        with pytest.raises(ProtocolError):
+            system.sites[0].handle_run(
+                COORDINATOR, MessageKind.THRESHOLD, [0.5], system.network
+            )
+        with pytest.raises(ProtocolError):
+            system.coordinator.handle_run(
+                0, MessageKind.REPORT, [None], system.network
+            )
+        assert system.total_messages == 0
 
 
 class TestFactoryIntegration:
