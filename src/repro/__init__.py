@@ -42,14 +42,11 @@ from .core import (
     SlidingWindowWithReplacement,
     WithReplacementSampler,
     get_variant,
-    infinite_window_sampler,
     make_sampler,
     register_variant,
     restore,
     sampler_variants,
-    sliding_window_sampler,
     snapshot,
-    with_replacement_sampler,
 )
 from .errors import (
     ConfigurationError,
@@ -82,9 +79,6 @@ __all__ = [
     "register_variant",
     "sampler_variants",
     "get_variant",
-    "infinite_window_sampler",
-    "sliding_window_sampler",
-    "with_replacement_sampler",
     "DistinctSamplerSystem",
     "SlidingWindowBottomSFeedback",
     "BroadcastSamplerSystem",

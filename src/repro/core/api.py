@@ -17,9 +17,6 @@ The registry maps variant names to factories; consumers (CLI, experiment
 drivers, benchmarks, :mod:`repro.core.snapshot`) iterate it instead of
 hard-coding classes, and downstream code can plug in new backends with
 :func:`register_variant`.
-
-The pre-registry factories (``infinite_window_sampler`` & co) remain for
-one release as deprecated shims.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Callable
 
 from ..errors import ConfigurationError
 from .infinite import DistinctSamplerSystem
-from .protocol import Sampler, SamplerConfig, deprecated_call
+from .protocol import Sampler, SamplerConfig
 from .sliding import SlidingWindowSystem
 from .sliding_feedback import SlidingWindowBottomSFeedback
 from .sliding_general import SlidingWindowBottomS
@@ -44,9 +41,6 @@ __all__ = [
     "register_sharded_variant",
     "sampler_variants",
     "get_variant",
-    "infinite_window_sampler",
-    "sliding_window_sampler",
-    "with_replacement_sampler",
 ]
 
 
@@ -400,74 +394,3 @@ def register_sharded_variant(base_name: str) -> SamplerVariant:
 
 for _base_name in SHARDABLE_VARIANTS:
     register_sharded_variant(_base_name)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated pre-registry factories (one release)
-# ---------------------------------------------------------------------------
-
-
-def infinite_window_sampler(
-    num_sites: int,
-    sample_size: int,
-    seed: int = 0,
-    algorithm: str = "murmur2",
-) -> DistinctSamplerSystem:
-    """Deprecated: use ``make_sampler("infinite", ...)``."""
-    deprecated_call(
-        "infinite_window_sampler()", 'make_sampler("infinite", ...)'
-    )
-    return make_sampler(
-        "infinite",
-        num_sites=num_sites,
-        sample_size=sample_size,
-        seed=seed,
-        algorithm=algorithm,
-    )
-
-
-def sliding_window_sampler(
-    num_sites: int,
-    window: int,
-    sample_size: int = 1,
-    seed: int = 0,
-    algorithm: str = "murmur2",
-    feedback: bool = True,
-):
-    """Deprecated: use ``make_sampler("sliding", ...)`` (or
-    ``"sliding-local-push"`` for the historical ``feedback=False``)."""
-    deprecated_call("sliding_window_sampler()", 'make_sampler("sliding", ...)')
-    if sample_size < 1:
-        raise ConfigurationError(f"sample_size must be >= 1, got {sample_size}")
-    variant = (
-        "sliding" if feedback or sample_size == 1 else "sliding-local-push"
-    )
-    return make_sampler(
-        variant,
-        num_sites=num_sites,
-        window=window,
-        sample_size=sample_size,
-        seed=seed,
-        algorithm=algorithm,
-    )
-
-
-def with_replacement_sampler(
-    num_sites: int,
-    sample_size: int,
-    window: int = 0,
-    seed: int = 0,
-    algorithm: str = "murmur2",
-):
-    """Deprecated: use ``make_sampler("with-replacement", ...)``."""
-    deprecated_call(
-        "with_replacement_sampler()", 'make_sampler("with-replacement", ...)'
-    )
-    return make_sampler(
-        "with-replacement",
-        num_sites=num_sites,
-        sample_size=sample_size,
-        window=window,
-        seed=seed,
-        algorithm=algorithm,
-    )

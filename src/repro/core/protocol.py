@@ -25,15 +25,10 @@ module defines the single API all of them now share:
   direction, bytes, per-site memory, and slots processed.
 * :class:`SamplerConfig` — the declarative construction recipe consumed
   by :func:`repro.core.api.make_sampler`.
-
-Old per-class entry points (``process_slot``, ``query``, the ad-hoc
-factories) remain available for one release as thin shims that emit
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import (
@@ -63,7 +58,6 @@ __all__ = [
     "SamplerConfig",
     "Sampler",
     "EXECUTORS",
-    "deprecated_call",
     "iter_event_runs",
 ]
 
@@ -72,16 +66,6 @@ _INF = float("inf")
 #: Execution backend names accepted by ``SamplerConfig.executor`` (see
 #: :mod:`repro.runtime.executor` for the implementations).
 EXECUTORS = ("serial", "thread", "process", "shm")
-
-
-def deprecated_call(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +272,12 @@ def encode_expiry(value: float) -> Optional[float]:
 
 
 def decode_expiry(value: Optional[float]) -> float:
-    """Inverse of :func:`encode_expiry`."""
-    return _INF if value is None else value
+    """Inverse of :func:`encode_expiry`; a non-number raises ValueError."""
+    if value is None:
+        return _INF
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"expiry must be a number or None, got {value!r}")
+    return value
 
 
 def revive_element(element: Any) -> Any:
@@ -311,16 +299,18 @@ def stats_state(network: Network) -> dict[str, Any]:
     }
 
 
-def load_stats_state(network: Network, state: dict[str, Any]) -> None:
-    """Restore counters captured by :func:`stats_state` into ``network``."""
-    stats = network.stats
-    stats.total_messages = int(state["total_messages"])
-    stats.total_bytes = int(state["total_bytes"])
-    stats.site_to_coordinator = int(state["site_to_coordinator"])
-    stats.coordinator_to_site = int(state["coordinator_to_site"])
-    stats.by_kind.clear()
+def parse_stats_state(state: dict[str, Any]) -> MessageStats:
+    """The counters captured by :func:`stats_state`, as fresh
+    :class:`MessageStats` (an unknown ``by_kind`` name raises KeyError)."""
+    stats = MessageStats(
+        total_messages=int(state["total_messages"]),
+        total_bytes=int(state["total_bytes"]),
+        site_to_coordinator=int(state["site_to_coordinator"]),
+        coordinator_to_site=int(state["coordinator_to_site"]),
+    )
     for name, count in state.get("by_kind", {}).items():
         stats.by_kind[MessageKind[name]] = int(count)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +367,7 @@ class Sampler(ABC):
     overriding :meth:`message_stats`.  Subclasses implement the small
     hook surface (:meth:`_deliver`, :meth:`_advance_to`, :meth:`sample`,
     :meth:`config`, :meth:`_state`, :meth:`_load`); the base class
-    provides the uniform lifecycle, accounting, and the deprecated
-    compatibility shims on top.
+    provides the uniform lifecycle and accounting on top.
     """
 
     # -- construction ------------------------------------------------------
@@ -589,20 +578,25 @@ class Sampler(ABC):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`.
 
+        Every field is parsed before anything is assigned; a variant's
+        :meth:`_load` parses its own fields before it commits them, so a
+        malformed state leaves the sampler as it was.
+
         Raises:
             ConfigurationError: If the state dict is malformed.
         """
         try:
             protocol = state["protocol"]
-            network = state["network"]
-            system = state["system"]
-        except (KeyError, TypeError) as exc:
+            last_slot = protocol.get("last_slot")
+            last_slot = None if last_slot is None else int(last_slot)
+            slots_processed = int(protocol.get("slots_processed", 0))
+            stats = parse_stats_state(state["network"])
+            self._load(state["system"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc
-        last_slot = protocol.get("last_slot")
-        self._last_slot = None if last_slot is None else int(last_slot)
-        self._slots_processed = int(protocol.get("slots_processed", 0))
-        load_stats_state(self.network, network)
-        self._load(system)
+        self._last_slot = last_slot
+        self._slots_processed = slots_processed
+        self.network.stats = stats
 
     @abstractmethod
     def _state(self) -> dict[str, Any]:
@@ -611,29 +605,3 @@ class Sampler(ABC):
     @abstractmethod
     def _load(self, state: dict[str, Any]) -> None:
         """Restore variant-specific state captured by :meth:`_state`."""
-
-    # -- deprecated shims (one release) ------------------------------------
-
-    def process_slot(self, slot: int, arrivals: list[tuple[int, Any]]) -> None:
-        """Deprecated: use ``advance(slot)`` + ``observe_batch(arrivals)``."""
-        deprecated_call(
-            f"{type(self).__name__}.process_slot()",
-            "advance(slot) + observe_batch(arrivals)",
-        )
-        self.advance(slot)
-        for site_id, item in arrivals:
-            self._deliver(site_id, item)
-
-    def query(self) -> Any:
-        """Deprecated: use ``sample()`` (returns a :class:`SampleResult`)."""
-        deprecated_call(f"{type(self).__name__}.query()", "sample()")
-        return self._legacy_sample_shape()
-
-    def sample_legacy(self) -> Any:
-        """Deprecated: the pre-protocol shape of ``sample()``."""
-        deprecated_call(f"{type(self).__name__}.sample_legacy()", "sample()")
-        return self._legacy_sample_shape()
-
-    def _legacy_sample_shape(self) -> Any:
-        """The old per-class return shape (list of items by default)."""
-        return list(self.sample().items)

@@ -54,12 +54,18 @@ are provided:
 
 Message costs of the two modes are nearly identical (see the
 ``ablation_sync`` experiment); the figures use ``exact``.
+
+The facade plumbing this system shares with the general-``s`` variants —
+batch and columnar ingest, the same-slot repeat-drop rule with its
+proofs, and the candidate sets' snapshot rows — is
+:class:`SlidingFacadeBase`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from abc import abstractmethod
+from typing import Any, Callable, Optional
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher, unit_hash_batch
@@ -82,6 +88,8 @@ from .protocol import (
 # SortedDominanceSet doubles as the exact coordinator's candidate store.
 
 __all__ = [
+    "SlidingFacadeBase",
+    "SlidingSiteBase",
     "SlidingWindowSite",
     "SlidingWindowCoordinator",
     "SlidingWindowSystem",
@@ -100,7 +108,69 @@ def _make_structure(kind: str):
     )
 
 
-class SlidingWindowSite:
+class SlidingSiteBase:
+    """Shared site plumbing: validated construction, the candidate set
+    ``T_i`` and its size, and the hashing :meth:`observe` entry.
+
+    Subclasses declare their own extra slots and set :attr:`candidates`.
+    The inherited :meth:`observe_hashed` is Algorithm 3's arrival, which
+    the threshold-feedback sites share (it reads their ``u_local``); the
+    local-push site, which has no threshold, overrides it.
+    """
+
+    __slots__ = (
+        "site_id",
+        "hasher",
+        "window",
+        "sample_size",
+        "candidates",
+        "reports_sent",
+    )
+
+    def __init__(
+        self, site_id: int, hasher: UnitHasher, window: int, sample_size: int
+    ) -> None:
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
+        if sample_size < 1:
+            raise ConfigurationError(
+                f"sample_size must be >= 1, got {sample_size}"
+            )
+        self.site_id = site_id
+        self.hasher = hasher
+        self.window = window
+        self.sample_size = sample_size
+        self.reports_sent = 0
+
+    @property
+    def memory_size(self) -> int:
+        """Current candidate-set size |T_i| (the paper's memory metric)."""
+        return len(self.candidates)
+
+    def observe(self, element: Any, now: int, network: Network) -> None:
+        """Process an arrival in slot ``now``."""
+        self.observe_hashed(element, self.hasher.unit(element), now, network)
+
+    def observe_hashed(
+        self, element: Any, h: float, now: int, network: Network
+    ) -> None:
+        """Fast path: arrival with a precomputed hash (Algorithm 3 lines
+        3-15): refresh ``(e, now + w)`` in ``T_i``; report iff
+        ``h(e) < u_i``."""
+        expiry = now + self.window
+        self.candidates.expire(now)
+        self.candidates.observe(element, expiry, h)
+        if h < self.u_local:
+            self.reports_sent += 1
+            network.send(
+                self.site_id,
+                COORDINATOR,
+                MessageKind.SW_REPORT,
+                (element, h, expiry, self.site_id),
+            )
+
+
+class SlidingWindowSite(SlidingSiteBase):
     """Algorithm 3: the per-site sliding-window protocol.
 
     Args:
@@ -111,17 +181,7 @@ class SlidingWindowSite:
             store for the candidate set ``T_i``.
     """
 
-    __slots__ = (
-        "site_id",
-        "hasher",
-        "window",
-        "candidates",
-        "sample_element",
-        "u_local",
-        "sample_expiry",
-        "reports_sent",
-        "fallbacks",
-    )
+    __slots__ = ("sample_element", "u_local", "sample_expiry", "fallbacks")
 
     def __init__(
         self,
@@ -130,22 +190,12 @@ class SlidingWindowSite:
         window: int,
         structure: str = "treap",
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.site_id = site_id
-        self.hasher = hasher
-        self.window = window
+        super().__init__(site_id, hasher, window, 1)
         self.candidates = _make_structure(structure)
         self.sample_element: Optional[Any] = None
         self.u_local = 1.0
         self.sample_expiry: float = _INF
-        self.reports_sent = 0
         self.fallbacks = 0
-
-    @property
-    def memory_size(self) -> int:
-        """Current candidate-set size |T_i| (the paper's memory metric)."""
-        return len(self.candidates)
 
     def tick(self, now: int, network: Network) -> None:
         """Slot-boundary maintenance (Algorithm 3 lines 21-25).
@@ -176,27 +226,6 @@ class SlidingWindowSite:
             MessageKind.SW_REPORT,
             (entry.element, entry.hash, entry.expiry, self.site_id),
         )
-
-    def observe(self, element: Any, now: int, network: Network) -> None:
-        """Process an arrival in slot ``now`` (Algorithm 3 lines 3-15)."""
-        h = self.hasher.unit(element)
-        self.observe_hashed(element, h, now, network)
-
-    def observe_hashed(
-        self, element: Any, h: float, now: int, network: Network
-    ) -> None:
-        """Fast path: arrival with a precomputed hash."""
-        expiry = now + self.window
-        self.candidates.expire(now)
-        self.candidates.observe(element, expiry, h)
-        if h < self.u_local:
-            self.reports_sent += 1
-            network.send(
-                self.site_id,
-                COORDINATOR,
-                MessageKind.SW_REPORT,
-                (element, h, expiry, self.site_id),
-            )
 
     def handle_message(self, message: Message, network: Network) -> None:
         """Adopt the coordinator's sample reply (Algorithm 3 lines 16-20)."""
@@ -305,7 +334,214 @@ class SlidingWindowCoordinator:
         return len(self.candidates)
 
 
-class SlidingWindowSystem(Sampler):
+class SlidingFacadeBase(Sampler):
+    """Shared facade plumbing for the three sliding-window systems.
+
+    :class:`SlidingWindowSystem` (``s = 1``),
+    :class:`~repro.core.sliding_feedback.SlidingWindowBottomSFeedback`
+    and :class:`~repro.core.sliding_general.SlidingWindowBottomS`
+    (local push) differ only in their site and coordinator protocols.
+    Everything around those lives here: the shared hasher and
+    :class:`~repro.netsim.clock.SlotClock`, the slot-boundary site ticks,
+    single, tuple-batch and columnar delivery, per-site memory, and the
+    candidate sets' snapshot rows.
+
+    Batch ingestion splits the events into same-slot runs, hashes each
+    run in bulk (the columnar path warms the batch's hash column once)
+    and hands every event to its site's precomputed-hash entry, exactly
+    as looping :meth:`observe` would — the batch-equivalence tests pin
+    this for both network flavours.  The one shortcut is dropping an
+    exact ``(site, element)`` repeat within a run where
+    :meth:`_drops_repeats` proves it changes nothing.  That rule follows
+    from the protocol and the network, never from an option:
+
+    * ``s = 1`` drops repeats iff ``network.synchronous``.  The site
+      threshold ``u_i`` is non-increasing within a slot (every
+      coordinator reply carries a hash no larger than the reported one),
+      so a same-slot repeat can never report and its candidate refresh
+      is a no-op.  That proof needs the reply to land *before* the
+      repeat; on a delay-tolerant network the generic loop really does
+      re-report, so nothing is dropped there.
+    * Local push always drops them.  A repeat's candidate refresh is a
+      no-op (equal expiry) and the follow-up bottom-s sync therefore
+      finds the site's reported set already consistent — messages flow
+      one way, so nothing else can have invalidated it.
+    * Feedback never does.  Its expiring threshold ``u_i`` can *rise*
+      within a slot (a reply is 1.0 while the coordinator knows fewer
+      than ``s`` candidates), so a same-slot repeat may legitimately
+      report where its first occurrence did not.
+
+    Subclasses wire their nodes through :meth:`_init_sliding` and supply
+    :meth:`_drops_repeats`, :meth:`sample`, :attr:`config`,
+    :meth:`_state` and :meth:`_load`.  A ``_load`` parses every field
+    first (candidate sets through :meth:`_load_rows`) and only then
+    assigns them with :meth:`_commit_load`, so a malformed state raises
+    before anything changes.
+    """
+
+    def _init_sliding(
+        self,
+        num_sites: int,
+        window: int,
+        sample_size: int,
+        hasher: Optional[UnitHasher],
+        seed: int,
+        algorithm: str,
+        coordinator: Callable[[SlotClock], Any],
+        site: Callable[[int], Any],
+    ) -> None:
+        """Validate, build the hasher and clock, and wire the topology.
+
+        ``coordinator(clock)`` builds the coordinator node and
+        ``site(site_id)`` each site (it may read :attr:`hasher`).
+        """
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
+        if sample_size < 1:
+            raise ConfigurationError(
+                f"sample_size must be >= 1, got {sample_size}"
+            )
+        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
+        self.window = window
+        self.sample_size = sample_size
+        self.clock = SlotClock(0)
+        self._init_runtime(
+            Topology.build(
+                coordinator=coordinator(self.clock),
+                site_factory=site,
+                num_sites=num_sites,
+            )
+        )
+
+    @abstractmethod
+    def _drops_repeats(self) -> bool:
+        """Whether a same-slot ``(site, element)`` repeat may be dropped."""
+
+    # -- protocol hooks ----------------------------------------------------
+
+    def _advance_to(self, slot: int) -> None:
+        """Slot boundary: advance the clock, then tick every site."""
+        self.clock.advance_to(slot)
+        network = self.network
+        for site in self.sites:
+            site.tick(slot, network)
+
+    def _deliver(self, site_id: int, element: Any) -> None:
+        """Deliver an arrival at the current slot."""
+        self.sites[site_id].observe(element, self.clock.now, self.network)
+
+    def observe_batch(self, events) -> int:
+        """Vectorized batch ingestion (semantics of the generic loop)."""
+        if isinstance(events, EventBatch):
+            return self.observe_columns(events)
+        events = events if isinstance(events, list) else list(events)
+        if not events:
+            return 0
+        for slot, batch in iter_event_runs(events):
+            if slot is not None:
+                self.advance(slot)
+            self._deliver_batch(batch)
+        return len(events)
+
+    def observe_columns(self, batch: EventBatch) -> int:
+        """Columnar fast path: one cached hash column, sliced per run."""
+        batch.require_sites()
+        batch.hash_column(self.hasher)  # hashed once; the runs slice it
+        for slot, run in batch.slot_runs():
+            if slot is not None:
+                self.advance(slot)
+            self._deliver_columns(run)
+        return len(batch)
+
+    def _deliver_columns(self, run: EventBatch) -> None:
+        """Deliver one same-slot columnar run (repeats per the rule)."""
+        if not len(run):
+            return
+        hashes = run.hash_column(self.hasher).tolist()
+        site_ids = run.sites_list()
+        items = run.items_list()
+        now = self.clock.now
+        network = self.network
+        sites = self.sites
+        if not self._drops_repeats():
+            for site_id, item, h in zip(site_ids, items, hashes):
+                sites[site_id].observe_hashed(item, h, now, network)
+            return
+        for j in run.first_occurrence_indices().tolist():
+            sites[site_ids[j]].observe_hashed(items[j], hashes[j], now, network)
+
+    def _deliver_batch(self, batch: list) -> None:
+        """Deliver one same-slot tuple run (repeats per the rule)."""
+        if not batch:
+            return
+        items = [item for _, item in batch]
+        hashes = unit_hash_batch(self.hasher, items)
+        now = self.clock.now
+        network = self.network
+        sites = self.sites
+        if not self._drops_repeats():
+            for (site_id, item), h in zip(batch, hashes):
+                sites[site_id].observe_hashed(item, h, now, network)
+            return
+        seen: set = set()
+        for (site_id, item), h in zip(batch, hashes):
+            key = (site_id, item)
+            if key in seen:
+                continue
+            seen.add(key)
+            sites[site_id].observe_hashed(item, h, now, network)
+
+    def per_site_memory(self) -> list[int]:
+        """Current candidate-set sizes, one per site (Fig 5.7/5.9 metric)."""
+        return [site.memory_size for site in self.sites]
+
+    def _bottom_s_sample(self) -> SampleResult:
+        """The coordinator's live bottom-s (general-``s`` variants); the
+        threshold is the s-th smallest live hash, 1.0 below s entries."""
+        entries = self.coordinator.sample_entries(self.clock.now)
+        threshold = (
+            entries[-1].hash if len(entries) == self.sample_size else 1.0
+        )
+        return SampleResult(
+            items=tuple(entry.element for entry in entries),
+            pairs=tuple((entry.hash, entry.element) for entry in entries),
+            threshold=threshold,
+            sample_size=self.sample_size,
+            window=self.window,
+            slot=self.current_slot,
+        )
+
+    # -- persistence helpers -----------------------------------------------
+
+    @staticmethod
+    def _entry_rows(store: Any) -> list:
+        """A candidate set as JSON-safe ``[element, expiry, hash]`` rows."""
+        return [[e.element, e.expiry, e.hash] for e in store.entries()]
+
+    def _load_rows(self, rows: list, store: Any = None) -> Any:
+        """A fresh candidate set holding snapshot ``rows``.
+
+        ``store`` defaults to an empty s-dominance set; a malformed row
+        raises before the caller commits anything.
+        """
+        if store is None:
+            store = SortedDominanceSet(self.sample_size)
+        for element, expiry, h in rows:
+            store.observe(revive_element(element), int(expiry), float(h))
+        return store
+
+    def _commit_load(
+        self, now: int, coordinator: dict[str, Any], sites: list[dict[str, Any]]
+    ) -> None:
+        """Assign parsed node attributes: the last step of a ``_load``."""
+        self.clock.reset(now)
+        nodes = (self.coordinator, *self.sites)
+        for node, attrs in zip(nodes, (coordinator, *sites)):
+            for name, value in attrs.items():
+                setattr(node, name, value)
+
+
+class SlidingWindowSystem(SlidingFacadeBase):
     """Facade: k sliding-window sites + coordinator on one network.
 
     Drive it slot by slot::
@@ -337,113 +573,23 @@ class SlidingWindowSystem(Sampler):
         coordinator_mode: str = "exact",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self.window = window
-        self.sample_size = 1
         self.structure = structure
         self.coordinator_mode = coordinator_mode
-        self.clock = SlotClock(0)
-        self._init_runtime(
-            Topology.build(
-                coordinator=SlidingWindowCoordinator(
-                    self.clock, coordinator_mode
-                ),
-                site_factory=lambda i: SlidingWindowSite(
-                    i, self.hasher, window, structure
-                ),
-                num_sites=num_sites,
-            )
+        self._init_sliding(
+            num_sites,
+            window,
+            1,
+            hasher,
+            seed,
+            algorithm,
+            coordinator=lambda clock: SlidingWindowCoordinator(
+                clock, coordinator_mode
+            ),
+            site=lambda i: SlidingWindowSite(i, self.hasher, window, structure),
         )
 
-    # -- protocol hooks ----------------------------------------------------
-
-    def _advance_to(self, slot: int) -> None:
-        """Slot boundary: advance the clock and run site maintenance."""
-        self.clock.advance_to(slot)
-        network = self.network
-        for site in self.sites:
-            site.tick(slot, network)
-
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver an arrival at the current slot."""
-        self.sites[site_id].observe(element, self.clock.now, self.network)
-
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Splits the batch into same-slot runs, bulk-hashes each run
-        (:func:`~repro.hashing.unit.unit_hash_batch`), and — on a
-        synchronous network — drops exact ``(site, element)`` repeats
-        within a run: for ``s = 1`` the site threshold ``u_i`` is
-        non-increasing within a slot (every coordinator reply carries a
-        hash no larger than the reported one), so a same-slot repeat can
-        never report and its candidate refresh is a no-op.  That proof
-        needs the reply to land *before* the repeat, so the dedup is
-        skipped on delay-tolerant networks (``network.synchronous`` is
-        False), where the generic loop really does re-report.
-        Equivalence with looping :meth:`observe` is covered by the
-        batch-equivalence tests for both network flavours.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column + vectorized dedup."""
-        batch.require_sites()
-        batch.hash_column(self.hasher)  # hashed once; the runs slice it
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (same dedup proof)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        site_ids = run.sites_list()
-        items = run.items_list()
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        if not network.synchronous:
-            for site_id, item, h in zip(site_ids, items, hashes):
-                sites[site_id].observe_hashed(item, h, now, network)
-            return
-        for j in run.first_occurrence_indices().tolist():
-            sites[site_ids[j]].observe_hashed(items[j], hashes[j], now, network)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes (+ dedup)."""
-        if not batch:
-            return
-        items = [item for _, item in batch]
-        hashes = unit_hash_batch(self.hasher, items)
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        if not network.synchronous:
-            for (site_id, item), h in zip(batch, hashes):
-                sites[site_id].observe_hashed(item, h, now, network)
-            return
-        seen: set = set()
-        for (site_id, item), h in zip(batch, hashes):
-            key = (site_id, item)
-            if key in seen:
-                continue
-            seen.add(key)
-            sites[site_id].observe_hashed(item, h, now, network)
+    def _drops_repeats(self) -> bool:
+        return self.network.synchronous
 
     def sample(self) -> SampleResult:
         """The window's distinct sample (at most one item for s = 1)."""
@@ -464,14 +610,6 @@ class SlidingWindowSystem(Sampler):
             window=self.window,
             slot=self.current_slot,
         )
-
-    def _legacy_sample_shape(self) -> Optional[Any]:
-        # The old ``query()`` returned the sample element or None.
-        return self.sample().first
-
-    def per_site_memory(self) -> list[int]:
-        """Current candidate-set sizes, one per site (Fig 5.7/5.9 metric)."""
-        return [site.memory_size for site in self.sites]
 
     # -- protocol: construction recipe + persistence -----------------------
 
@@ -503,18 +641,12 @@ class SlidingWindowSystem(Sampler):
                 "entries": (
                     None
                     if coord.candidates is None
-                    else [
-                        [e.element, e.expiry, e.hash]
-                        for e in coord.candidates.entries()
-                    ]
+                    else self._entry_rows(coord.candidates)
                 ),
             },
             "sites": [
                 {
-                    "entries": [
-                        [e.element, e.expiry, e.hash]
-                        for e in site.candidates.entries()
-                    ],
+                    "entries": self._entry_rows(site.candidates),
                     "sample_element": site.sample_element,
                     "u_local": site.u_local,
                     "sample_expiry": encode_expiry(site.sample_expiry),
@@ -526,24 +658,30 @@ class SlidingWindowSystem(Sampler):
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self.clock.advance_to(int(state["clock"]))
         coord_state = state["coordinator"]
-        coord = self.coordinator
-        coord.reports_received = int(coord_state["reports_received"])
         element, u_star, expiry = coord_state["sample"]
-        coord.sample_element = revive_element(element)
-        coord.u_star = float(u_star)
-        coord.sample_expiry = decode_expiry(expiry)
-        if coord.candidates is not None:
-            coord.candidates = SortedDominanceSet(1)
-            for e, exp, h in coord_state["entries"]:
-                coord.candidates.observe(revive_element(e), int(exp), float(h))
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.candidates = _make_structure(self.structure)
-            for e, exp, h in site_state["entries"]:
-                site.candidates.observe(revive_element(e), int(exp), float(h))
-            site.sample_element = revive_element(site_state["sample_element"])
-            site.u_local = float(site_state["u_local"])
-            site.sample_expiry = decode_expiry(site_state["sample_expiry"])
-            site.reports_sent = int(site_state["reports_sent"])
-            site.fallbacks = int(site_state["fallbacks"])
+        coordinator = {
+            "reports_received": int(coord_state["reports_received"]),
+            "sample_element": revive_element(element),
+            "u_star": float(u_star),
+            "sample_expiry": decode_expiry(expiry),
+            "candidates": (
+                None
+                if self.coordinator.candidates is None
+                else self._load_rows(coord_state["entries"])
+            ),
+        }
+        sites = [
+            {
+                "candidates": self._load_rows(
+                    site_state["entries"], _make_structure(self.structure)
+                ),
+                "sample_element": revive_element(site_state["sample_element"]),
+                "u_local": float(site_state["u_local"]),
+                "sample_expiry": decode_expiry(site_state["sample_expiry"]),
+                "reports_sent": int(site_state["reports_sent"]),
+                "fallbacks": int(site_state["fallbacks"]),
+            }
+            for site_state in state["sites"]
+        ]
+        self._commit_load(int(state["clock"]), coordinator, sites)

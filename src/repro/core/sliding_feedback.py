@@ -39,6 +39,10 @@ reported fresh, or site ``j``'s validity lapsed by ``t`` and its
 fallback pushed its local bottom-s, which provably contains ``g``
 (s-dominance cannot evict a global bottom-s member).  Either way the
 coordinator knows ``g`` with a current expiry.
+
+The facade's ingest, its same-slot repeat-drop rule (feedback never
+drops) and the snapshot rows come from
+:class:`~repro.core.sliding.SlidingFacadeBase`.
 """
 
 from __future__ import annotations
@@ -48,22 +52,14 @@ from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher, unit_hash_batch
+from ..hashing.unit import UnitHasher
 from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
-from ..runtime.topology import Topology
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .events import EventBatch
-from .protocol import (
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    decode_expiry,
-    encode_expiry,
-    iter_event_runs,
-    revive_element,
-)
+from .protocol import SampleResult, SamplerConfig, decode_expiry, encode_expiry
+from .sliding import SlidingFacadeBase, SlidingSiteBase
 
 __all__ = [
     "FeedbackBottomSSite",
@@ -75,44 +71,23 @@ _INF = math.inf
 _EXPIRY = attrgetter("expiry")
 
 
-class FeedbackBottomSSite:
-    """Per-site protocol: s-dominance candidates + expiring threshold."""
+class FeedbackBottomSSite(SlidingSiteBase):
+    """Per-site protocol: s-dominance candidates + expiring threshold.
 
-    __slots__ = (
-        "site_id",
-        "hasher",
-        "window",
-        "sample_size",
-        "candidates",
-        "u_local",
-        "valid_until",
-        "reports_sent",
-        "fallbacks",
-    )
+    Arrivals take the inherited Algorithm 3 path: report iff
+    ``h(e) < u_i``.
+    """
+
+    __slots__ = ("u_local", "valid_until", "fallbacks")
 
     def __init__(
         self, site_id: int, hasher: UnitHasher, window: int, sample_size: int
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
-        self.site_id = site_id
-        self.hasher = hasher
-        self.window = window
-        self.sample_size = sample_size
+        super().__init__(site_id, hasher, window, sample_size)
         self.candidates = SortedDominanceSet(sample_size)
         self.u_local = 1.0
         self.valid_until: float = _INF
-        self.reports_sent = 0
         self.fallbacks = 0
-
-    @property
-    def memory_size(self) -> int:
-        """Current candidate-set size |T_i|."""
-        return len(self.candidates)
 
     def tick(self, now: int, network: Network) -> None:
         """Slot boundary: on threshold lapse, push the local bottom-s."""
@@ -138,26 +113,6 @@ class FeedbackBottomSSite:
             MessageKind.SW_REPORT,
             [(e.element, e.hash, e.expiry, site_id) for e in bottom],
         )
-
-    def observe(self, element: Any, now: int, network: Network) -> None:
-        """Process an arrival in slot ``now``."""
-        self.observe_hashed(element, self.hasher.unit(element), now, network)
-
-    def observe_hashed(
-        self, element: Any, h: float, now: int, network: Network
-    ) -> None:
-        """Fast path: arrival with a precomputed hash."""
-        expiry = now + self.window
-        self.candidates.expire(now)
-        self.candidates.observe(element, expiry, h)
-        if h < self.u_local:
-            self.reports_sent += 1
-            network.send(
-                self.site_id,
-                COORDINATOR,
-                MessageKind.SW_REPORT,
-                (element, h, expiry, self.site_id),
-            )
 
     def handle_message(self, message: Message, network: Network) -> None:
         """Adopt the coordinator's (threshold, validity) reply."""
@@ -245,17 +200,13 @@ class FeedbackBottomSCoordinator:
             COORDINATOR, site_id, MessageKind.SW_SAMPLE, [reply] * len(payloads)
         )
 
-    def query(self, now: int) -> list[Any]:
-        """The window's bottom-s distinct sample, ascending by hash."""
-        return [entry.element for entry in self.sample_entries(now)]
-
     def sample_entries(self, now: int) -> list[DominanceEntry]:
         """The live bottom-s entries at slot ``now``, ascending by hash."""
         self.candidates.expire(now)
         return self.candidates.bottom(self.sample_size)
 
 
-class SlidingWindowBottomSFeedback(Sampler):
+class SlidingWindowBottomSFeedback(SlidingFacadeBase):
     """Facade: general-s sliding-window sampling with lazy feedback.
 
     Args:
@@ -276,110 +227,30 @@ class SlidingWindowBottomSFeedback(Sampler):
         algorithm: str = "murmur2",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self.window = window
-        self.sample_size = sample_size
-        self.clock = SlotClock(0)
-        self._init_runtime(
-            Topology.build(
-                coordinator=FeedbackBottomSCoordinator(self.clock, sample_size),
-                site_factory=lambda i: FeedbackBottomSSite(
-                    i, self.hasher, window, sample_size
-                ),
-                num_sites=num_sites,
-            )
+        self._init_sliding(
+            num_sites,
+            window,
+            sample_size,
+            hasher,
+            seed,
+            algorithm,
+            coordinator=lambda clock: FeedbackBottomSCoordinator(
+                clock, sample_size
+            ),
+            site=lambda i: FeedbackBottomSSite(i, self.hasher, window, sample_size),
         )
 
-    # -- protocol hooks ----------------------------------------------------
-
-    def _advance_to(self, slot: int) -> None:
-        """Slot boundary: lapse-triggered fallback pushes at every site."""
-        self.clock.advance_to(slot)
-        network = self.network
-        for site in self.sites:
-            site.tick(slot, network)
-
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver an arrival at the current slot."""
-        self.sites[site_id].observe(element, self.clock.now, self.network)
-
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Same-slot runs are bulk-hashed and delivered through the
-        precomputed-hash fast path.  Unlike the ``s = 1`` system, repeats
-        are *not* dropped: the expiring threshold ``u_i`` can rise within
-        a slot (a reply is 1.0 while the coordinator knows fewer than
-        ``s`` candidates), so a same-slot repeat may legitimately report
-        where its first occurrence did not.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
+    def _drops_repeats(self) -> bool:
+        return False
 
     def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column, no dedup (see above)."""
-        batch.require_sites()
-        batch.hash_column(self.hasher)  # hashed once; the runs slice it
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (repeats kept)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        for site_id, item, h in zip(run.sites_list(), run.items_list(), hashes):
-            sites[site_id].observe_hashed(item, h, now, network)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes."""
-        if not batch:
-            return
-        items = [item for _, item in batch]
-        hashes = unit_hash_batch(self.hasher, items)
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        for (site_id, item), h in zip(batch, hashes):
-            sites[site_id].observe_hashed(item, h, now, network)
+        """Columnar fast path (the shared loop, repeats kept)."""
+        # Own attribute so the benchmark's layer trace can wrap it here.
+        return super().observe_columns(batch)
 
     def sample(self) -> SampleResult:
         """The current window's bottom-s distinct sample."""
-        coordinator = self.coordinator
-        entries = coordinator.sample_entries(self.clock.now)
-        threshold, _valid_until = coordinator.threshold_of(entries)
-        return SampleResult(
-            items=tuple(entry.element for entry in entries),
-            pairs=tuple((entry.hash, entry.element) for entry in entries),
-            threshold=threshold,
-            sample_size=self.sample_size,
-            window=self.window,
-            slot=self.current_slot,
-        )
-
-    def per_site_memory(self) -> list[int]:
-        """Current candidate-set sizes, one per site."""
-        return [site.memory_size for site in self.sites]
+        return self._bottom_s_sample()
 
     # -- protocol: construction recipe + persistence -----------------------
 
@@ -400,17 +271,11 @@ class SlidingWindowBottomSFeedback(Sampler):
             "clock": self.clock.now,
             "coordinator": {
                 "reports_received": self.coordinator.reports_received,
-                "entries": [
-                    [e.element, e.expiry, e.hash]
-                    for e in self.coordinator.candidates.entries()
-                ],
+                "entries": self._entry_rows(self.coordinator.candidates),
             },
             "sites": [
                 {
-                    "entries": [
-                        [e.element, e.expiry, e.hash]
-                        for e in site.candidates.entries()
-                    ],
+                    "entries": self._entry_rows(site.candidates),
                     "u_local": site.u_local,
                     "valid_until": encode_expiry(site.valid_until),
                     "reports_sent": site.reports_sent,
@@ -421,19 +286,19 @@ class SlidingWindowBottomSFeedback(Sampler):
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self.clock.advance_to(int(state["clock"]))
         coord_state = state["coordinator"]
-        self.coordinator.reports_received = int(coord_state["reports_received"])
-        self.coordinator.candidates = SortedDominanceSet(self.sample_size)
-        for e, exp, h in coord_state["entries"]:
-            self.coordinator.candidates.observe(
-                revive_element(e), int(exp), float(h)
-            )
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.candidates = SortedDominanceSet(self.sample_size)
-            for e, exp, h in site_state["entries"]:
-                site.candidates.observe(revive_element(e), int(exp), float(h))
-            site.u_local = float(site_state["u_local"])
-            site.valid_until = decode_expiry(site_state["valid_until"])
-            site.reports_sent = int(site_state["reports_sent"])
-            site.fallbacks = int(site_state["fallbacks"])
+        coordinator = {
+            "reports_received": int(coord_state["reports_received"]),
+            "candidates": self._load_rows(coord_state["entries"]),
+        }
+        sites = [
+            {
+                "candidates": self._load_rows(site_state["entries"]),
+                "u_local": float(site_state["u_local"]),
+                "valid_until": decode_expiry(site_state["valid_until"]),
+                "reports_sent": int(site_state["reports_sent"]),
+                "fallbacks": int(site_state["fallbacks"]),
+            }
+            for site_state in state["sites"]
+        ]
+        self._commit_load(int(state["clock"]), coordinator, sites)

@@ -1,5 +1,5 @@
-"""Tests for the ``SamplerConfig``/``make_sampler`` front door, the
-constructor validation contract, and the deprecated compatibility shims.
+"""Tests for the ``SamplerConfig``/``make_sampler`` front door and the
+constructor validation contract.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from repro import (
     SlidingWindowWithReplacement,
     WithReplacementSampler,
     get_variant,
-    infinite_window_sampler,
     make_sampler,
     register_variant,
     sampler_variants,
-    sliding_window_sampler,
-    snapshot,
-    with_replacement_sampler,
 )
 from repro.core.api import SamplerVariant
 from repro.errors import ConfigurationError
@@ -174,87 +170,3 @@ class TestUniformConstructorValidation:
         with pytest.raises(ConfigurationError):
             SamplerConfig(cache_size=-1).validate()
         assert SamplerConfig(num_sites=3).validate() is not None
-
-
-class TestDeprecatedShims:
-    """The pre-protocol surface still works for one release, warning."""
-
-    def test_infinite_window_sampler_factory(self):
-        with pytest.warns(DeprecationWarning, match="infinite_window_sampler"):
-            old = infinite_window_sampler(num_sites=2, sample_size=3, seed=5)
-        assert isinstance(old, DistinctSamplerSystem)
-        new = make_sampler("infinite", num_sites=2, sample_size=3, seed=5)
-        for i in range(50):
-            old.observe(i % 2, i)
-            new.observe(i % 2, i)
-        assert old.sample() == new.sample()
-        assert old.stats() == new.stats()
-
-    def test_sliding_window_sampler_factory(self):
-        with pytest.warns(DeprecationWarning, match="sliding_window_sampler"):
-            s1 = sliding_window_sampler(num_sites=2, window=5)
-        assert isinstance(s1, SlidingWindowSystem)
-        with pytest.warns(DeprecationWarning):
-            fb = sliding_window_sampler(num_sites=2, window=5, sample_size=3)
-        assert isinstance(fb, SlidingWindowBottomSFeedback)
-        with pytest.warns(DeprecationWarning):
-            push = sliding_window_sampler(
-                num_sites=2, window=5, sample_size=3, feedback=False
-            )
-        assert isinstance(push, SlidingWindowBottomS)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                sliding_window_sampler(num_sites=2, window=5, sample_size=0)
-
-    def test_with_replacement_sampler_factory(self):
-        with pytest.warns(DeprecationWarning, match="with_replacement_sampler"):
-            infinite = with_replacement_sampler(num_sites=2, sample_size=3)
-        assert isinstance(infinite, WithReplacementSampler)
-        with pytest.warns(DeprecationWarning):
-            sliding = with_replacement_sampler(
-                num_sites=2, sample_size=3, window=4
-            )
-        assert isinstance(sliding, SlidingWindowWithReplacement)
-
-    def test_process_slot_shim(self):
-        legacy = make_sampler("sliding", num_sites=2, window=5, seed=3)
-        modern = make_sampler("sliding", num_sites=2, window=5, seed=3)
-        arrivals = [(0, "a"), (1, "b")]
-        with pytest.warns(DeprecationWarning, match="process_slot"):
-            legacy.process_slot(1, arrivals)
-        modern.advance(1)
-        modern.observe_batch(arrivals)
-        assert legacy.sample() == modern.sample()
-        assert legacy.stats() == modern.stats()
-
-    def test_query_shim_old_shapes(self):
-        s1 = make_sampler("sliding", num_sites=1, window=5, seed=3)
-        s1.observe(0, "x", slot=1)
-        with pytest.warns(DeprecationWarning, match="query"):
-            assert s1.query() == "x"  # single element, not a list
-
-        bottom = make_sampler(
-            "sliding-feedback", num_sites=1, window=5, sample_size=2, seed=3
-        )
-        bottom.observe(0, "x", slot=1)
-        with pytest.warns(DeprecationWarning, match="query"):
-            assert bottom.query() == ["x"]  # list shape
-
-    def test_sample_legacy_shim_old_shapes(self):
-        infinite = make_sampler("infinite", num_sites=1, sample_size=2)
-        infinite.observe(0, "x")
-        with pytest.warns(DeprecationWarning, match="sample_legacy"):
-            assert infinite.sample_legacy() == ["x"]
-
-        wr = make_sampler("with-replacement", num_sites=1, sample_size=2)
-        with pytest.warns(DeprecationWarning, match="sample_legacy"):
-            draws = wr.sample_legacy()
-        assert draws == [None, None]  # per-copy draws, empty copies = None
-
-    def test_snapshot_of_factory_built_sampler(self):
-        # Old factory output is still a first-class protocol citizen.
-        with pytest.warns(DeprecationWarning):
-            old = sliding_window_sampler(num_sites=2, window=5, seed=1)
-        old.observe(0, "a", slot=1)
-        state = snapshot(old)
-        assert state["config"]["variant"] == "sliding"
